@@ -44,12 +44,14 @@ func TestStateIndexWithSND(t *testing.T) {
 
 	// Metric-space applications want a large bank distance: with the
 	// default gamma=1, vanishing mass into a local bank and recreating
-	// it elsewhere is cheaper than transporting it (the triangle
-	// discussion in DESIGN.md), which collapses cross-family contrast.
-	// gamma of the order of the ground-distance diameter restores it.
+	// it elsewhere is cheaper than transporting it (see Options.Gamma),
+	// which collapses cross-family contrast. gamma of the order of the
+	// ground-distance diameter restores it.
 	opts := DefaultOptions()
 	opts.Gamma = 24
-	ix := NewStateIndex(states, SNDMeasure(g, opts))
+	nw := NewNetwork(g, opts, EngineConfig{})
+	defer nw.Close()
+	ix := NewStateIndex(states, nw.Measure())
 	if ix.Len() != 8 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -85,24 +87,27 @@ func TestStateIndexWithSND(t *testing.T) {
 	}
 }
 
+// TestEngineAndSolverConstants pins the exported engine constants to
+// one value across both flow solvers: EngineNetwork always runs
+// cost-scaling, while the default picks the bipartite pipeline, whose
+// reduced instances here are small enough for SSP.
 func TestEngineAndSolverConstants(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Engine = EngineNetwork
-	opts.Solver = FlowCostScaling
 	g := ScaleFreeGraph(ScaleFreeConfig{N: 60, OutDeg: 3, Exponent: -2.3, Seed: 5})
 	ev := NewEvolution(g, 10, 6)
 	a := ev.Step(0.3, 0.05)
 	b := ev.Step(0.3, 0.05)
-	res, err := Distance(g, a, b, opts)
+	res, err := freshDistance(g, a, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Distance(g, a, b, DefaultOptions())
+	ref, err := freshDistance(g, a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SND != ref.SND {
-		t.Errorf("engine/solver override changed the value: %v vs %v", res.SND, ref.SND)
+		t.Errorf("engine override changed the value: %v vs %v", res.SND, ref.SND)
 	}
 }
 
@@ -152,14 +157,14 @@ func TestClusterLabelFacades(t *testing.T) {
 	ev := NewEvolution(g, 15, 11)
 	a := ev.Step(0.3, 0.02)
 	b := ev.Step(0.3, 0.02)
-	if _, err := Distance(g, a, b, opts); err != nil {
+	if _, err := freshDistance(g, a, b, opts); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestScreenedSearchMatchesExhaustiveAPI pins the bounds-first public
 // surface — screened NearestNeighbors and the deduplicating Matrix —
-// bit-identical to the NoBounds/NoWarmStart (exhaustive) pipeline.
+// bit-identical to the exhaustive pipeline: no bounds, no warm starts.
 func TestScreenedSearchMatchesExhaustiveAPI(t *testing.T) {
 	g := ScaleFreeGraph(ScaleFreeConfig{N: 300, OutDeg: 4, Exponent: -2.3, Reciprocity: 0.3, Seed: 5})
 	rng := rand.New(rand.NewSource(6))
@@ -182,8 +187,7 @@ func TestScreenedSearchMatchesExhaustiveAPI(t *testing.T) {
 
 	exOpts := DefaultOptions()
 	exOpts.NoBounds = true
-	exOpts.NoWarmStart = true
-	exNet := NewNetwork(g, exOpts, EngineConfig{})
+	exNet := NewNetwork(g, exOpts, EngineConfig{WarmCacheBytes: -1})
 	defer exNet.Close()
 	scNet := NewNetwork(g, DefaultOptions(), EngineConfig{})
 	defer scNet.Close()

@@ -5,9 +5,19 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// freshDistance computes one SND on a transient handle with the ground
+// cache disabled: fresh cost materialization and fresh SSSP for every
+// term, the full-recompute reference for the cached and delta paths.
+func freshDistance(g *Graph, a, b State, opts Options) (Result, error) {
+	nw := NewNetwork(g, opts, EngineConfig{GroundCacheBytes: -1})
+	defer nw.Close()
+	return nw.Distance(context.Background(), a, b)
+}
 
 func lineNetwork() *Graph {
 	b := NewGraphBuilder(4)
@@ -23,14 +33,17 @@ func TestQuickstartFlow(t *testing.T) {
 	before[0] = Positive
 	after := before.Clone()
 	after[1] = Positive
-	d, err := DistanceValue(g, before, after)
+	nw := NewNetwork(g, DefaultOptions(), EngineConfig{})
+	defer nw.Close()
+	ctx := context.Background()
+	d, err := nw.DistanceValue(ctx, before, after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d <= 0 {
 		t.Errorf("distance = %v, want > 0", d)
 	}
-	same, err := DistanceValue(g, before, before)
+	same, err := nw.DistanceValue(ctx, before, before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +57,7 @@ func TestDistanceMatchesDirect(t *testing.T) {
 	ev := NewEvolution(g, 10, 2)
 	a := ev.State()
 	b := ev.Step(0.3, 0.05)
-	fast, err := Distance(g, a, b, DefaultOptions())
+	fast, err := freshDistance(g, a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +77,31 @@ func TestSeriesAndAnomalies(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		states = append(states, ev.Step(0.15, 0.02))
 	}
-	dists, err := Series(g, states, DefaultOptions())
+	nw := NewNetwork(g, DefaultOptions(), EngineConfig{})
+	defer nw.Close()
+	ctx := context.Background()
+	dists, err := nw.Series(ctx, states)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dists) != 5 {
 		t.Fatalf("series length %d", len(dists))
 	}
+	// The free pipeline over the handle's measure and the handle method
+	// must agree to the bit.
+	viaMeasure, err := DetectAnomalies(states, nw.Measure())
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaHandle, err := nw.DetectAnomalies(ctx, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viaMeasure, viaHandle) {
+		t.Errorf("DetectAnomalies over Measure %+v != handle %+v", viaMeasure, viaHandle)
+	}
 	for _, m := range []Measure{
-		SNDMeasure(g, DefaultOptions()),
+		nw.Measure(),
 		HammingMeasure(g.N()),
 		L1Measure(g.N()),
 		QuadFormMeasure(g),

@@ -4,8 +4,8 @@ package snd
 // section, at bench-friendly sizes (cmd/sndbench regenerates the full
 // tables; the committed BENCH_*.json snapshots record the runs).
 // Ablation benchmarks cover
-// the design choices DESIGN.md calls out: computation engine, flow
-// solver, Dijkstra heap, ground-cost model, and bank allocation.
+// the measure's configurable choices: computation engine, ground-cost
+// model, and bank allocation.
 
 import (
 	"context"
@@ -15,7 +15,6 @@ import (
 	"snd/internal/core"
 	"snd/internal/dynamics"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 )
 
 func benchGraph(b *testing.B, n int) *Graph {
@@ -47,7 +46,7 @@ func benchDistance(b *testing.B, g *Graph, x, y State, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Distance(g, x, y, opts); err != nil {
+		if _, err := freshDistance(g, x, y, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,35 +176,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSolver compares SSP and cost-scaling within the
-// bipartite engine.
-func BenchmarkAblationSolver(b *testing.B) {
-	g := benchGraph(b, 2000)
-	x, y := benchStatePair(b, g, 150)
-	for _, solver := range []core.FlowSolver{core.FlowSSP, core.FlowCostScaling} {
-		opts := DefaultOptions()
-		opts.Engine = core.EngineBipartite
-		opts.Solver = solver
-		b.Run(solver.String(), func(b *testing.B) {
-			benchDistance(b, g, x, y, opts)
-		})
-	}
-}
-
-// BenchmarkAblationHeap compares the Dijkstra priority queues inside
-// the Theorem 4 pipeline.
-func BenchmarkAblationHeap(b *testing.B) {
-	g := benchGraph(b, 5000)
-	x, y := benchStatePair(b, g, 200)
-	for _, heap := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
-		opts := DefaultOptions()
-		opts.Heap = heap
-		b.Run(heap.String(), func(b *testing.B) {
-			benchDistance(b, g, x, y, opts)
-		})
-	}
-}
-
 // BenchmarkAblationModel compares the three ground-cost models.
 func BenchmarkAblationModel(b *testing.B) {
 	g := benchGraph(b, 2000)
@@ -263,7 +233,7 @@ func BenchmarkSeriesSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j+1 < len(states); j++ {
-			if _, err := Distance(g, states[j], states[j+1], opts); err != nil {
+			if _, err := freshDistance(g, states[j], states[j+1], opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -95,11 +95,11 @@ func runDelta(sc scale, seed int64) {
 	// the delta patch/repair path, and the term-level gates would blur
 	// what each tick actually recomputes (the flow experiment measures
 	// them).
-	opts.NoWarmStart = true
 	opts.NoBounds = true
-	warm := snd.NewNetwork(g, opts, snd.EngineConfig{})
+	cold := snd.EngineConfig{WarmCacheBytes: -1}
+	warm := snd.NewNetwork(g, opts, cold)
 	defer warm.Close()
-	full := snd.NewNetwork(g, opts, snd.EngineConfig{})
+	full := snd.NewNetwork(g, opts, cold)
 	defer full.Close()
 	if err := warm.SetState(st); err != nil {
 		fatalf("delta: %v", err)

@@ -53,13 +53,17 @@ func runEngine(sc scale, seed int64) {
 	// factor; warm-started solves and bound screening would let the
 	// second (measured) Series pass skip the work entirely, so they are
 	// pinned off here — the flow experiment measures them.
-	opts.NoWarmStart = true
 	opts.NoBounds = true
+	cold := snd.EngineConfig{WarmCacheBytes: -1}
 
+	// The sequential baseline pays what a caller without a long-lived
+	// handle pays: a transient engine per pair, ground cache disabled.
+	oneShot := cold
+	oneShot.GroundCacheBytes = -1
 	start := time.Now()
 	seq := make([]float64, 0, count-1)
 	for i := 0; i+1 < count; i++ {
-		r, err := snd.Distance(g, states[i], states[i+1], opts)
+		r, err := distanceOnce(g, states[i], states[i+1], opts, oneShot)
 		if err != nil {
 			fatalf("engine sequential step %d: %v", i, err)
 		}
@@ -68,7 +72,7 @@ func runEngine(sc scale, seed int64) {
 	seqDur := time.Since(start)
 
 	ctx := context.Background()
-	nw := snd.NewNetwork(g, opts, snd.EngineConfig{})
+	nw := snd.NewNetwork(g, opts, cold)
 	defer nw.Close()
 	// Warm once so the snapshot measures the steady state the batch
 	// pipelines see (scratch arenas grown, transpose built); the ground

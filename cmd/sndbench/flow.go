@@ -22,8 +22,8 @@ type flowSnapshot struct {
 	Users  int `json:"users"`
 	Edges  int `json:"edges"`
 	States int `json:"states"`
-	// Flow stage of the warm-path (second pass) Series: the PR 4 cold
-	// pipeline (NoWarmStart + NoBounds) against warm-started solves.
+	// Flow stage of the warm-path (second pass) Series: the cold
+	// pipeline (no warm starts, no bounds) against warm-started solves.
 	ColdFlowSeconds float64 `json:"cold_flow_seconds"`
 	WarmFlowSeconds float64 `json:"warm_flow_seconds"`
 	// WarmFlowElided marks a warm flow stage below clock resolution
@@ -65,11 +65,11 @@ type flowSnapshot struct {
 	MatrixChecksum     float64 `json:"matrix_checksum"`
 }
 
-// runFlow measures the flow-stage work this PR attacks: (1) the
-// acceptance workload — the n = 20000 Series whose SSSP cost PR 4
-// collapsed, now re-run with warm-started transportation solves
-// against the pinned PR 4 cold path (NoWarmStart + NoBounds), flow
-// stage isolated via the engine's phase stats; (2) the transplant path
+// runFlow measures the flow-stage savings of warm starts and bound
+// screening: (1) the n = 20000 Series with goal-pruned SSSP, run with
+// warm-started transportation solves against the cold pipeline
+// (EngineConfig.WarmCacheBytes < 0 plus NoBounds), flow stage isolated
+// via the engine's phase stats; (2) the transplant path
 // on a monitoring workload (fixed query, drifting state); (3) the
 // lower-bound screening hit rates on Matrix and nearest-neighbor
 // traffic. Every screened or warm result is verified identical to its
@@ -98,9 +98,17 @@ func runFlow(sc scale, seed int64) {
 		exact, solved   int64
 		gated, coldSolv int64
 	}
-	series := func(opts snd.Options) seriesRun {
-		opts.Clusters = clusters
-		nw := snd.NewNetwork(g, opts, snd.EngineConfig{Workers: 1})
+	// A pipeline is the options plus engine sizing one run uses.
+	type pipeline struct {
+		opts snd.Options
+		cfg  snd.EngineConfig
+	}
+	coldP := pipeline{snd.DefaultOptions(), snd.EngineConfig{Workers: 1, WarmCacheBytes: -1}}
+	coldP.opts.NoBounds = true
+	warmP := pipeline{snd.DefaultOptions(), snd.EngineConfig{Workers: 1}}
+	series := func(p pipeline) seriesRun {
+		p.opts.Clusters = clusters
+		nw := snd.NewNetwork(g, p.opts, p.cfg)
 		defer nw.Close()
 		if _, err := nw.Series(ctx, states); err != nil {
 			fatalf("flow series pass 1: %v", err)
@@ -122,11 +130,8 @@ func runFlow(sc scale, seed int64) {
 			coldSolv: s1.FlowSolves - s0.FlowSolves,
 		}
 	}
-	coldOpts := snd.DefaultOptions()
-	coldOpts.NoWarmStart = true
-	coldOpts.NoBounds = true
-	cold := series(coldOpts)
-	warm := series(snd.DefaultOptions())
+	cold := series(coldP)
+	warm := series(warmP)
 	var checksum float64
 	for i := range cold.out {
 		if warm.out[i] != cold.out[i] {
@@ -139,7 +144,7 @@ func runFlow(sc scale, seed int64) {
 	if !flowElided {
 		flowSpeedup = cold.flow.Seconds() / warm.flow.Seconds()
 	}
-	fmt.Printf("%-38s %v\n", "flow stage, PR 4 cold path (pass 2)", cold.flow.Round(time.Microsecond))
+	fmt.Printf("%-38s %v\n", "flow stage, cold path (pass 2)", cold.flow.Round(time.Microsecond))
 	fmt.Printf("%-38s %v\n", "flow stage, warm-started (pass 2)", warm.flow.Round(time.Microsecond))
 	if flowElided {
 		fmt.Printf("%-38s n/a (stage fully served from retained bases)\n", "warm-solve flow-stage speedup")
@@ -180,8 +185,8 @@ func runFlow(sc scale, seed int64) {
 		}
 		drift[i] = cur
 	}
-	monitor := func(opts snd.Options) (time.Duration, int64, []float64) {
-		nw := snd.NewNetwork(tg, opts, snd.EngineConfig{Workers: 1})
+	monitor := func(p pipeline) (time.Duration, int64, []float64) {
+		nw := snd.NewNetwork(tg, p.opts, p.cfg)
 		defer nw.Close()
 		out := make([]float64, ticks)
 		start := time.Now()
@@ -194,8 +199,8 @@ func runFlow(sc scale, seed int64) {
 		}
 		return time.Since(start), nw.Engine().Stats().TermsWarmSolved, out
 	}
-	coldDur, _, coldVals := monitor(coldOpts)
-	warmDur, warmSolved, warmVals := monitor(snd.DefaultOptions())
+	coldDur, _, coldVals := monitor(coldP)
+	warmDur, warmSolved, warmVals := monitor(warmP)
 	for i := range coldVals {
 		if coldVals[i] != warmVals[i] {
 			fatalf("flow transplant tick %d diverged: cold %v, warm %v", i, coldVals[i], warmVals[i])
@@ -212,8 +217,8 @@ func runFlow(sc scale, seed int64) {
 	// steady state whose exact-evaluation count the hit rate reports.
 	nnStates := drift
 	k := 5
-	nnScan := func(opts snd.Options) ([]snd.StateNeighbor, int64) {
-		nw := snd.NewNetwork(tg, opts, snd.EngineConfig{Workers: 1})
+	nnScan := func(p pipeline) ([]snd.StateNeighbor, int64) {
+		nw := snd.NewNetwork(tg, p.opts, p.cfg)
 		defer nw.Close()
 		ix := nw.Index(nnStates)
 		first, err := ix.NearestNeighbors(ctx, query, k)
@@ -232,8 +237,8 @@ func runFlow(sc scale, seed int64) {
 		}
 		return nn, nw.Engine().Stats().Pairs - before
 	}
-	exNN, exPairs := nnScan(coldOpts)
-	scNN, scPairs := nnScan(snd.DefaultOptions())
+	exNN, exPairs := nnScan(coldP)
+	scNN, scPairs := nnScan(warmP)
 	for i := range exNN {
 		if exNN[i] != scNN[i] {
 			fatalf("flow nn neighbor %d diverged: exhaustive %+v, screened %+v", i, exNN[i], scNN[i])
@@ -248,8 +253,8 @@ func runFlow(sc scale, seed int64) {
 	// (duplicate states), bound-gated terms inside the distinct pairs.
 	mStates := append([]snd.State{}, drift[:8]...)
 	mStates = append(mStates, drift[2], drift[5], drift[2]) // stagnant re-snapshots
-	matrix := func(opts snd.Options) ([][]float64, snd.EngineStats) {
-		nw := snd.NewNetwork(tg, opts, snd.EngineConfig{Workers: 1})
+	matrix := func(p pipeline) ([][]float64, snd.EngineStats) {
+		nw := snd.NewNetwork(tg, p.opts, p.cfg)
 		defer nw.Close()
 		m, err := nw.Matrix(ctx, mStates)
 		if err != nil {
@@ -257,8 +262,8 @@ func runFlow(sc scale, seed int64) {
 		}
 		return m, nw.Engine().Stats()
 	}
-	exM, _ := matrix(coldOpts)
-	scM, scStats := matrix(snd.DefaultOptions())
+	exM, _ := matrix(coldP)
+	scM, scStats := matrix(warmP)
 	var mChecksum float64
 	for i := range exM {
 		for j := range exM[i] {

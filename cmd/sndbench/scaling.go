@@ -143,6 +143,14 @@ func timedDistance(g *snd.Graph, a, b snd.State, opts snd.Options) (time.Duratio
 	return time.Since(start), nw.Engine().Stats()
 }
 
+// distanceOnce computes one distance on a transient handle sized by
+// cfg.
+func distanceOnce(g *snd.Graph, a, b snd.State, opts snd.Options, cfg snd.EngineConfig) (snd.Result, error) {
+	nw := snd.NewNetwork(g, opts, cfg)
+	defer nw.Close()
+	return nw.Distance(context.Background(), a, b)
+}
+
 func phaseSplit(st snd.EngineStats) string {
 	return fmt.Sprintf("%v/%v/%v",
 		st.SSSPTime.Round(time.Millisecond),
@@ -196,11 +204,8 @@ func runFig12(sc scale, seed int64) {
 		if nd <= 800 {
 			opts := snd.DefaultOptions()
 			opts.Engine = snd.EngineBipartite
-			start := time.Now()
-			if _, err := snd.Distance(g, a, b, opts); err != nil {
-				fatalf("fig12 bipartite ndelta=%d: %v", nd, err)
-			}
-			bip = time.Since(start).Round(time.Millisecond).String()
+			dur, _ := timedDistance(g, a, b, opts)
+			bip = dur.Round(time.Millisecond).String()
 		}
 		fmt.Printf("%-9d %-14v %-14s %s\n", nd, auto.Round(time.Millisecond), bip, phaseSplit(stats))
 	}

@@ -14,10 +14,9 @@ import (
 
 type ssspCrossoverRow struct {
 	NDelta          int     `json:"n_delta"`
+	SND             float64 `json:"snd"`
 	BipartiteMS     float64 `json:"bipartite_ms"`
 	NetworkMS       float64 `json:"network_ms"`
-	SSPMS           float64 `json:"bipartite_ssp_ms"`
-	CostScalingMS   float64 `json:"bipartite_costscaling_ms"`
 	BipartiteFaster bool    `json:"bipartite_faster"`
 }
 
@@ -30,12 +29,8 @@ type ssspSnapshot struct {
 	Users           int                `json:"users"`
 	Edges           int                `json:"edges"`
 	States          int                `json:"states"`
-	FullRowsSeconds float64            `json:"fullrows_series_seconds"`
 	PrunedSeconds   float64            `json:"pruned_series_seconds"`
-	Speedup         float64            `json:"speedup"`
-	FullRowsColdSec float64            `json:"fullrows_cold_series_seconds"`
 	PrunedColdSec   float64            `json:"pruned_cold_series_seconds"`
-	ColdSpeedup     float64            `json:"cold_speedup"`
 	ParallelWorkers int                `json:"parallel_workers"`
 	ParallelSeconds float64            `json:"parallel_series_seconds"`
 	ParallelSpeedup float64            `json:"parallel_speedup"`
@@ -44,15 +39,14 @@ type ssspSnapshot struct {
 	Crossover       []ssspCrossoverRow `json:"crossover"`
 }
 
-// runSSSP measures the goal-pruned, bucket-queued SSSP fan-out against
-// the pre-pruning full-row pipeline on the Pairs/Series workload: one
-// evolution series over a 20k-user scale-free network, every adjacent
-// SND, single worker (so the speedup is purely algorithmic), then the
-// same series with all workers to show the intra-term stealing factor.
-// Distances are verified bit-identical across all three runs. A second
-// section probes the EngineAuto bipartite-vs-network and FlowAuto
-// SSP-vs-cost-scaling crossovers on the pruned pipeline; the committed
-// BENCH_sssp.json snapshot is what the heuristic constants in
+// runSSSP measures the goal-pruned, bucket-queued SSSP fan-out on the
+// Pairs/Series workload: one evolution series over a 20k-user
+// scale-free network, every adjacent SND, with one worker and then
+// with all workers to show the intra-term stealing factor. Distances
+// are verified bit-identical across both runs. A second section probes
+// the EngineAuto bipartite-vs-network crossover and verifies both
+// engines return the bit-identical distance on every row; the
+// committed BENCH_sssp.json snapshot is what the heuristic constants in
 // internal/core/term.go cite.
 func runSSSP(sc scale, seed int64) {
 	n, count := sc.ssspN, sc.ssspStates
@@ -64,24 +58,21 @@ func runSSSP(sc scale, seed int64) {
 	for i := range states {
 		states[i] = ev.StepSample(n/20, 0.15, 0.01)
 	}
-	fmt.Printf("SSSP fan-out: full rows vs goal-pruned, |V| = %d, |E| = %d, %d states, 1 worker\n\n",
+	fmt.Printf("SSSP fan-out: goal-pruned, |V| = %d, |E| = %d, %d states\n\n",
 		g.N(), g.M(), count)
 	ctx := context.Background()
 	// Coarse bank bins (the paper's Fig. 4 clustering, as in the delta
-	// experiment): both pipelines run the identical configuration, and
-	// the mass-mismatch flow stays proportional to the cluster count so
-	// the measurement isolates the fan-out cost this PR attacks.
-	clusters := snd.BFSClusterLabels(g, 64)
+	// experiment): the mass-mismatch flow stays proportional to the
+	// cluster count, so the measurement isolates the fan-out cost.
+	opts := snd.DefaultOptions()
+	opts.Clusters = snd.BFSClusterLabels(g, 64)
+	// Pin warm starts and bound screening off: this experiment isolates
+	// the SSSP fan-out, and warm bases would serve the measured second
+	// pass whole (the flow experiment measures them).
+	opts.NoBounds = true
 
-	series := func(opts snd.Options, workers int) ([]float64, time.Duration, time.Duration) {
-		opts.Clusters = clusters
-		// Pin warm starts and bound screening off: this experiment
-		// isolates the SSSP fan-out, and warm bases would serve the
-		// measured second pass whole (the flow experiment measures
-		// them).
-		opts.NoWarmStart = true
-		opts.NoBounds = true
-		nw := snd.NewNetwork(g, opts, snd.EngineConfig{Workers: workers})
+	series := func(workers int) ([]float64, time.Duration, time.Duration) {
+		nw := snd.NewNetwork(g, opts, snd.EngineConfig{Workers: workers, WarmCacheBytes: -1})
 		defer nw.Close()
 		// The first pass is the cold cost (nothing retained yet); the
 		// second is the steady state the batch pipelines see once the
@@ -100,35 +91,28 @@ func runSSSP(sc scale, seed int64) {
 		return out, time.Since(start), cold
 	}
 
-	fullOpts := snd.DefaultOptions()
-	fullOpts.NoGoalPrune = true
-	fullRes, fullDur, fullCold := series(fullOpts, 1)
-	prunedRes, prunedDur, prunedCold := series(snd.DefaultOptions(), 1)
+	prunedRes, prunedDur, prunedCold := series(1)
 	workers := runtime.GOMAXPROCS(0)
-	parRes, parDur, _ := series(snd.DefaultOptions(), workers)
+	parRes, parDur, _ := series(workers)
 
 	var checksum float64
-	for i := range fullRes {
-		if prunedRes[i] != fullRes[i] || parRes[i] != fullRes[i] {
-			fatalf("sssp step %d diverged: full %v, pruned %v, parallel %v",
-				i, fullRes[i], prunedRes[i], parRes[i])
+	for i := range prunedRes {
+		if parRes[i] != prunedRes[i] {
+			fatalf("sssp step %d diverged: 1 worker %v, %d workers %v",
+				i, prunedRes[i], workers, parRes[i])
 		}
-		checksum += fullRes[i]
+		checksum += prunedRes[i]
 	}
-	speedup := fullDur.Seconds() / prunedDur.Seconds()
-	coldSpeedup := fullCold.Seconds() / prunedCold.Seconds()
-	parSpeedup := fullDur.Seconds() / parDur.Seconds()
-	fmt.Printf("%-30s %v  (cold %v)\n", "full rows (PR 3 pipeline)", fullDur.Round(time.Millisecond), fullCold.Round(time.Millisecond))
+	parSpeedup := prunedDur.Seconds() / parDur.Seconds()
 	fmt.Printf("%-30s %v  (cold %v)\n", "goal-pruned (1 worker)", prunedDur.Round(time.Millisecond), prunedCold.Round(time.Millisecond))
-	fmt.Printf("%-30s %.2fx  (cold %.2fx)\n", "single-core speedup", speedup, coldSpeedup)
 	fmt.Printf("%-30s %v  (%d workers)\n", "goal-pruned (all workers)", parDur.Round(time.Millisecond), workers)
 	fmt.Printf("%-30s %.2fx\n", "parallel speedup", parSpeedup)
-	fmt.Printf("%-30s %.3f (identical across all runs)\n\n", "distance checksum", checksum)
+	fmt.Printf("%-30s %.3f (identical across both runs)\n\n", "distance checksum", checksum)
 
-	// Crossover probe: where do the EngineAuto and FlowAuto heuristics
-	// flip on the pruned pipeline? Uniformly scattered flips are the
-	// bipartite engine's worst case (no locality for the pruned ball),
-	// so the crossover read off here is conservative.
+	// Crossover probe: where does the EngineAuto heuristic flip on the
+	// pruned pipeline? Uniformly scattered flips are the bipartite
+	// engine's worst case (no locality for the pruned ball), so the
+	// crossover read off here is conservative.
 	xn := 10000
 	if xn > n {
 		xn = n
@@ -143,17 +127,20 @@ func runSSSP(sc scale, seed int64) {
 			base[i] = snd.Opinion(1 - 2*rng.Intn(2))
 		}
 	}
-	timeDistance := func(a, b snd.State, opts snd.Options) float64 {
+	timeDistance := func(a, b snd.State, engine snd.ComputeEngine) (float64, float64) {
+		opts := snd.DefaultOptions()
+		opts.Engine = engine
 		nw := snd.NewNetwork(xg, opts, snd.EngineConfig{Workers: 1, GroundCacheBytes: -1})
 		defer nw.Close()
 		start := time.Now()
-		if _, err := nw.Distance(ctx, a, b); err != nil {
+		res, err := nw.Distance(ctx, a, b)
+		if err != nil {
 			fatalf("sssp crossover: %v", err)
 		}
-		return float64(time.Since(start).Microseconds()) / 1000
+		return res.SND, float64(time.Since(start).Microseconds()) / 1000
 	}
 	fmt.Printf("crossover probe (|V| = %d, uniform flips):\n", xn)
-	fmt.Printf("%8s %14s %14s %14s %18s\n", "ndelta", "bipartite ms", "network ms", "ssp ms", "cost-scaling ms")
+	fmt.Printf("%8s %14s %14s %16s\n", "ndelta", "bipartite ms", "network ms", "snd")
 	var rows []ssspCrossoverRow
 	for _, nd := range []int{250, 1000, 2500} {
 		b := base.Clone()
@@ -166,25 +153,16 @@ func runSSSP(sc scale, seed int64) {
 				flipped++
 			}
 		}
-		bip := snd.DefaultOptions()
-		bip.Engine = snd.EngineBipartite
-		net := snd.DefaultOptions()
-		net.Engine = snd.EngineNetwork
-		ssp := bip
-		ssp.Solver = snd.FlowSSP
-		cs := bip
-		cs.Solver = snd.FlowCostScaling
-		row := ssspCrossoverRow{
-			NDelta:        nd,
-			BipartiteMS:   timeDistance(base, b, bip),
-			NetworkMS:     timeDistance(base, b, net),
-			SSPMS:         timeDistance(base, b, ssp),
-			CostScalingMS: timeDistance(base, b, cs),
+		row := ssspCrossoverRow{NDelta: nd}
+		var netSND float64
+		row.SND, row.BipartiteMS = timeDistance(base, b, snd.EngineBipartite)
+		netSND, row.NetworkMS = timeDistance(base, b, snd.EngineNetwork)
+		if row.SND != netSND {
+			fatalf("sssp crossover ndelta=%d: bipartite %v != network %v", nd, row.SND, netSND)
 		}
 		row.BipartiteFaster = row.BipartiteMS < row.NetworkMS
 		rows = append(rows, row)
-		fmt.Printf("%8d %14.1f %14.1f %14.1f %18.1f\n",
-			nd, row.BipartiteMS, row.NetworkMS, row.SSPMS, row.CostScalingMS)
+		fmt.Printf("%8d %14.1f %14.1f %16.3f\n", nd, row.BipartiteMS, row.NetworkMS, row.SND)
 	}
 
 	if benchJSONPath == "" {
@@ -199,12 +177,8 @@ func runSSSP(sc scale, seed int64) {
 		Users:           g.N(),
 		Edges:           g.M(),
 		States:          count,
-		FullRowsSeconds: fullDur.Seconds(),
 		PrunedSeconds:   prunedDur.Seconds(),
-		Speedup:         speedup,
-		FullRowsColdSec: fullCold.Seconds(),
 		PrunedColdSec:   prunedCold.Seconds(),
-		ColdSpeedup:     coldSpeedup,
 		ParallelWorkers: workers,
 		ParallelSeconds: parDur.Seconds(),
 		ParallelSpeedup: parSpeedup,

@@ -71,7 +71,7 @@ func TestStepDeltaSequencesMatchFullRecompute(t *testing.T) {
 			}
 			// Full recompute on a transient provider-free handle: fresh
 			// cost materialization, fresh SSSP for every term.
-			want, err := Distance(g, st, next, DefaultOptions())
+			want, err := freshDistance(g, st, next, DefaultOptions())
 			if err != nil {
 				t.Fatalf("seq %d tick %d: full recompute: %v", seq, tick, err)
 			}
@@ -112,7 +112,7 @@ func TestStepDeltaICCModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Distance(g, st, next, opts)
+		want, err := freshDistance(g, st, next, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,8 +58,8 @@
 // and between the pushes of the min-cost-flow solvers, so a cancelled
 // request releases the worker pool within one such step. With an
 // un-cancelled context, results are bit-identical to sequential
-// snd.Distance loops for any worker count (pinned by tests under the
-// race detector).
+// one-pair loops for any worker count (pinned by tests under the race
+// detector).
 //
 // # Incremental state (deltas)
 //
@@ -129,8 +129,8 @@
 // every distance is charged the same escape cost), and rows are stored
 // target-indexed — proportional to the reduced instance, not the
 // graph. Pruning is exact on the queried columns, so distances are
-// bit-identical to the full-row pipeline (pinned by property tests;
-// Options.NoGoalPrune pins the old behavior for comparison).
+// bit-identical to the network engine, which runs no fan-out at all
+// (pinned by property tests).
 //
 // Retention differs by reference-state kind. Tracked states (the
 // delta-monitoring window) keep exact full rows with parent trees —
@@ -149,10 +149,10 @@
 // through this), with row placement fixed up front so any claim order
 // produces identical bits.
 //
-// Options.Heap defaults to HeapAuto, which picks the Dijkstra queue by
-// the cost model's edge-cost bound: Dial's bucket queue while the
-// bound buckets cheaply (Assumption 2 costs always do), the radix heap
-// beyond; both queues are pooled in the worker scratch arenas.
+// The engine picks the Dijkstra queue by the cost model's edge-cost
+// bound: Dial's bucket queue while the bound buckets cheaply
+// (Assumption 2 costs always do), the radix heap beyond; both queues
+// are pooled in the worker scratch arenas.
 //
 // # Warm-started transportation solves
 //
@@ -173,8 +173,8 @@
 // paths from the retained potentials; past an invalidation threshold
 // (the saturation moved more than half the supply) it falls back to a
 // cold solve on the spot. The transportation optimum is unique, so
-// distances are bit-identical either way; Options.NoWarmStart pins the
-// cold pipeline (as does forcing FlowCostScaling), and Engine.Stats
+// distances are bit-identical either way; a negative
+// EngineConfig.WarmCacheBytes pins the cold pipeline, and Engine.Stats
 // reports exact hits, transplants, and phase timings.
 //
 // # Lower-bound screening
@@ -205,13 +205,13 @@
 // # Certified approximation
 //
 // The Eps entry points — Network.DistanceEps, PairsEps, SeriesEps,
-// MatrixEps, and Options.Epsilon for the free functions — trade
-// accuracy for speed under a certified error contract. Each returned
-// distance carries an envelope [Result.LB, Result.UB] satisfying
+// and MatrixEps — trade accuracy for speed under a certified error
+// contract. Each returned distance carries an envelope
+// [Result.LB, Result.UB] satisfying
 //
-//	LB <= SND <= UB,  UB - LB <= Epsilon,  LB <= exact <= UB
+//	LB <= SND <= UB,  UB - LB <= eps,  LB <= exact <= UB
 //
-// so the reported value is within Epsilon of the exact distance, with
+// so the reported value is within eps of the exact distance, with
 // the bound computed (not estimated) by the engine: the lower end is
 // an admissible bound and the upper end is the cost of a feasible
 // transport plan, per term. The approximation tier has three stages,
@@ -227,11 +227,11 @@
 // only when they coincide; and an entropic (Sinkhorn) transport solve
 // whose rounded plan and repaired duals certify an envelope on
 // mid-size instances. Terms no stage decides fall through to the
-// exact solver, so the contract holds for every input — Epsilon only
+// exact solver, so the contract holds for every input — eps only
 // controls how often the cheap stages win.
 //
-// Epsilon = 0 (the default) disables every approximate stage and is
-// bit-identical to the exact entry points, for any worker count.
+// eps = 0 disables every approximate stage and is bit-identical to the
+// exact entry points, for any worker count.
 // Exact results carry the degenerate envelope LB = UB = SND.
 // Engine.Stats reports how many terms each stage decided
 // (TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn);
@@ -253,10 +253,7 @@
 //
 //   - Network / Engine: the handle and its concurrent batch compute
 //     layer. Engine remains available (Network.Engine) for callers
-//     that want the lower level; the free functions Distance /
-//     DistanceValue / Series / Explain are deprecated thin wrappers
-//     over a per-call handle, kept so existing code migrates
-//     gradually.
+//     that want the lower level.
 //   - SND itself (eq. 3), computed exactly in time near-linear in the
 //     number of users via the Theorem 4 reduction (Options selects
 //     engines, solvers, ground-cost models, and Dijkstra heaps).

@@ -100,6 +100,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 
 	maxCost := o.Costs.MaxCost()
 	inf := infCost(g.N(), maxCost, o.EscapeHops)
+	heap := o.heap()
 	sc := tc.sc
 	if sc == nil {
 		sc = &scratch{}
@@ -135,7 +136,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		// A column for a residual opposite entity is exactly a
 		// transpose-direction row, so the ground provider's cache and
 		// goal pruning both apply to it.
-		if tc.prov != nil && !o.NoGoalPrune {
+		if tc.prov != nil {
 			if cap(colBuf) < nS {
 				colBuf = make([]int64, nS)
 			}
@@ -148,7 +149,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 				continue
 			}
 		}
-		sssp.DijkstraFrontierInto(colGraph, colW, int(c), o.Heap, maxCost, &sc.res, &sc.fr)
+		sssp.DijkstraFrontierInto(colGraph, colW, int(c), heap, maxCost, &sc.res, &sc.fr)
 		fill(j, sc.res.Dist)
 		runs++
 	}
@@ -156,7 +157,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		if err := tc.cancelled(); err != nil {
 			return termVal{}, false, err
 		}
-		sssp.MultiSourceFrontierInto(colGraph, colW, red.banks[b].members, o.Heap, maxCost, &sc.res, &sc.fr)
+		sssp.MultiSourceFrontierInto(colGraph, colW, red.banks[b].members, heap, maxCost, &sc.res, &sc.fr)
 		fill(nOpp+b, sc.res.Dist)
 		runs++
 	}

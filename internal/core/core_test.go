@@ -137,56 +137,6 @@ func TestDirectMatchesFast(t *testing.T) {
 	}
 }
 
-func TestSolversAgreeWithinEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := graph.ErdosRenyi(25, 150, 9)
-	a := randState(25, 0.5, rng)
-	b := perturb(a, 6, rng)
-	var ref float64
-	first := true
-	for _, engine := range []ComputeEngine{EngineBipartite, EngineNetwork} {
-		for _, solver := range []FlowSolver{FlowSSP, FlowCostScaling} {
-			opts := DefaultOptions()
-			opts.Engine = engine
-			opts.Solver = solver
-			res, err := Distance(g, a, b, opts)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", engine, solver, err)
-			}
-			if first {
-				ref = res.SND
-				first = false
-				continue
-			}
-			if math.Abs(res.SND-ref) > 1e-9*math.Max(1, ref) {
-				t.Errorf("%v/%v: SND %v != ref %v", engine, solver, res.SND, ref)
-			}
-		}
-	}
-}
-
-func TestHeapsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := graph.ErdosRenyi(30, 200, 11)
-	a := randState(30, 0.5, rng)
-	b := perturb(a, 5, rng)
-	var ref float64
-	for i, heap := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
-		opts := DefaultOptions()
-		opts.Heap = heap
-		opts.Engine = EngineBipartite
-		res, err := Distance(g, a, b, opts)
-		if err != nil {
-			t.Fatalf("heap %v: %v", heap, err)
-		}
-		if i == 0 {
-			ref = res.SND
-		} else if res.SND != ref {
-			t.Errorf("heap %v: SND %v != %v", heap, res.SND, ref)
-		}
-	}
-}
-
 func TestDisconnectedGraph(t *testing.T) {
 	// Two components; opinion moves across require the escape hatch and
 	// both fast engines must agree on the saturated cost.
@@ -318,21 +268,24 @@ func TestSeries(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		states = append(states, perturb(states[len(states)-1], 3, rng))
 	}
-	out, err := Series(context.Background(), g, states, DefaultOptions())
+	e := NewEngine(g, DefaultOptions(), EngineConfig{})
+	defer e.Close()
+	out, err := e.Series(context.Background(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
-	if _, err := Series(context.Background(), g, states[:1], DefaultOptions()); err == nil {
+	if _, err := e.Series(context.Background(), states[:1]); err == nil {
 		t.Error("single-state series accepted")
 	}
 }
 
 func TestClusteredBanksUpperBoundDense(t *testing.T) {
-	// With coarse clusters the fast engines approximate the
-	// inter-cluster bank distance from above (DESIGN.md).
+	// With coarse clusters the fast engines charge a bank the distance
+	// to its nearest member, approximating the dense oracle's
+	// inter-cluster bank distance from above; both fast engines agree.
 	rng := rand.New(rand.NewSource(8))
 	g := graph.ErdosRenyi(24, 140, 5)
 	clusters := make([]int, 24)
@@ -359,41 +312,49 @@ func TestClusteredBanksUpperBoundDense(t *testing.T) {
 	}
 }
 
+// TestEngineAutoSwitches drives EngineAuto across its size rule: a
+// small reduced instance runs the bipartite pipeline, and one whose
+// reduced node count exceeds max(n/4, 1000) routes through the network.
 func TestEngineAutoSwitches(t *testing.T) {
-	g := graph.ErdosRenyi(30, 180, 7)
-	// Crafted churn so every term's reduced instance has multiple
-	// suppliers and consumers (arcs > 1).
-	a := opinion.NewState(30)
-	b := opinion.NewState(30)
+	g := graph.ErdosRenyi(2000, 10000, 7)
+	// Small churn: every term's reduced instance has multiple suppliers
+	// and consumers, far below the size limit.
+	a := opinion.NewState(g.N())
+	b := opinion.NewState(g.N())
 	for i := 0; i < 4; i++ {
 		a[i] = opinion.Positive
 		b[4+i] = opinion.Positive
 		a[8+i] = opinion.Negative
 		b[12+i] = opinion.Negative
 	}
-	opts := DefaultOptions()
-	opts.BipartiteArcLimit = 1 // force the network engine
-	res, err := Distance(g, a, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range res.EnginesUsed {
-		if res.Terms[i] > 0 && e != EngineNetwork {
-			t.Errorf("term %d used %v, want network under tiny arc limit", i, e)
-		}
-	}
-	opts.BipartiteArcLimit = 0 // default: large, bipartite
-	res, err = Distance(g, a, b, opts)
+	res, err := Distance(g, a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range res.EnginesUsed {
 		if res.Terms[i] > 0 && e != EngineBipartite {
-			t.Errorf("term %d used %v, want bipartite", i, e)
+			t.Errorf("small churn: term %d used %v, want bipartite", i, e)
 		}
 	}
 	if res.SSSPRuns == 0 {
 		t.Error("bipartite engine should report SSSP runs")
+	}
+	// Large churn: 600 positive users move elsewhere, so each positive
+	// term reduces to 1200 residual users, above the 1000-node limit.
+	a = opinion.NewState(g.N())
+	b = opinion.NewState(g.N())
+	for i := 0; i < 600; i++ {
+		a[i] = opinion.Positive
+		b[600+i] = opinion.Positive
+	}
+	res, err = Distance(g, a, b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range res.EnginesUsed {
+		if res.Terms[i] > 0 && e != EngineNetwork {
+			t.Errorf("large churn: term %d used %v, want network", i, e)
+		}
 	}
 }
 
@@ -405,9 +366,91 @@ func TestEngineNames(t *testing.T) {
 	if len(names) != 4 {
 		t.Errorf("engine names collide: %v", names)
 	}
-	for _, s := range []FlowSolver{FlowAuto, FlowSSP, FlowCostScaling} {
-		if s.String() == "" {
-			t.Error("empty solver name")
+}
+
+// TestAutoSolverThreshold runs bipartite terms on each side of the
+// SSP/cost-scaling threshold (sspNodeLimit reduced-instance nodes) and
+// pins both to the network engine, which always runs cost-scaling.
+func TestAutoSolverThreshold(t *testing.T) {
+	g := graph.ErdosRenyi(1500, 7500, 13)
+	rng := rand.New(rand.NewSource(14))
+	a := randState(g.N(), 0.3, rng)
+	for _, c := range []struct {
+		name  string
+		flips int
+		large bool
+	}{{"ssp", 20, false}, {"cost-scaling", 2000, true}} {
+		b := perturb(a, c.flips, rng)
+		// The positive A+ -> B+ term decides which solver runs.
+		red := reduce(termSpec{op: opinion.Positive, p: a, q: b, ref: a}, nil, g.N())
+		if nodes := len(red.S) + len(red.C) + len(red.banks); (nodes > sspNodeLimit) != c.large {
+			t.Fatalf("%s: fixture reduces to %d nodes, wrong side of %d", c.name, nodes, sspNodeLimit)
+		}
+		// NoBounds keeps the row gate from deciding terms without a
+		// flow solve.
+		bip := DefaultOptions()
+		bip.Engine = EngineBipartite
+		bip.NoBounds = true
+		net := bip
+		net.Engine = EngineNetwork
+		got, err := Distance(g, a, b, bip)
+		if err != nil {
+			t.Fatalf("%s: bipartite: %v", c.name, err)
+		}
+		want, err := Distance(g, a, b, net)
+		if err != nil {
+			t.Fatalf("%s: network: %v", c.name, err)
+		}
+		if got.Terms != want.Terms || got.SND != want.SND {
+			t.Errorf("%s: bipartite %v %v != network %v %v", c.name, got.SND, got.Terms, want.SND, want.Terms)
+		}
+	}
+}
+
+// TestAutoQueueChoice covers the Dijkstra queue the cost model selects:
+// Dial's bucket queue under the default unit costs, the radix heap once
+// per-user stubbornness pushes the edge-cost bound past the bucket
+// limit. Either way the automatic engine matches the network engine
+// bit for bit and the dense oracle within float tolerance.
+func TestAutoQueueChoice(t *testing.T) {
+	g := graph.ErdosRenyi(200, 1200, 15)
+	rng := rand.New(rand.NewSource(16))
+	stubborn := DefaultOptions()
+	stubborn.Costs.PerUserIn = make([]int32, g.N())
+	for i := range stubborn.Costs.PerUserIn {
+		stubborn.Costs.PerUserIn[i] = int32(rng.Intn(6000))
+	}
+	a := randState(g.N(), 0.3, rng)
+	b := perturb(a, 25, rng)
+	for _, c := range []struct {
+		name string
+		opts Options
+		want pqueue.Kind
+	}{{"dial", DefaultOptions(), pqueue.KindDial}, {"radix", stubborn, pqueue.KindRadix}} {
+		if got := c.opts.withDefaults().heap(); got != c.want {
+			t.Fatalf("%s: cost bound %d resolves to %v", c.name, c.opts.Costs.MaxCost(), got)
+		}
+		auto, err := Distance(g, a, b, c.opts)
+		if err != nil {
+			t.Fatalf("%s: auto: %v", c.name, err)
+		}
+		net := c.opts
+		net.Engine = EngineNetwork
+		nres, err := Distance(g, a, b, net)
+		if err != nil {
+			t.Fatalf("%s: network: %v", c.name, err)
+		}
+		if auto.SND != nres.SND {
+			t.Errorf("%s: auto %v != network %v", c.name, auto.SND, nres.SND)
+		}
+		dense := c.opts
+		dense.Engine = EngineDense
+		dres, err := Distance(g, a, b, dense)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", c.name, err)
+		}
+		if math.Abs(auto.SND-dres.SND) > 1e-9*math.Max(1, dres.SND) {
+			t.Errorf("%s: auto %v != dense %v", c.name, auto.SND, dres.SND)
 		}
 	}
 }

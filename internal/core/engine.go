@@ -32,7 +32,7 @@ type EngineConfig struct {
 	// into a warm SSP drain. The budget is split evenly across workers
 	// and never exceeded; an explicit budget smaller than the worker
 	// count disables retention. 0 selects 64 MiB; negative disables
-	// retention (as does Options.NoWarmStart).
+	// retention, pinning the cold transportation pipeline.
 	WarmCacheBytes int64
 }
 
@@ -100,7 +100,7 @@ func NewEngine(g *graph.Digraph, opts Options, cfg EngineConfig) *Engine {
 		if budget == 0 {
 			budget = defaultGroundCacheBytes
 		}
-		prov = newGroundProvider(g, dopts.Costs, dopts.Heap, budget,
+		prov = newGroundProvider(g, dopts.Costs, dopts.heap(), budget,
 			infCost(g.N(), dopts.Costs.MaxCost(), dopts.EscapeHops))
 	}
 	// Build the transpose up front for the strategies that read it, so
@@ -115,7 +115,7 @@ func NewEngine(g *graph.Digraph, opts Options, cfg EngineConfig) *Engine {
 	// workers * floor); an explicit budget below the worker count
 	// disables retention, like a negative one.
 	var warmBudget int64
-	if cfg.WarmCacheBytes >= 0 && !dopts.NoWarmStart {
+	if cfg.WarmCacheBytes >= 0 {
 		total := cfg.WarmCacheBytes
 		if total == 0 {
 			total = defaultWarmCacheBytes
@@ -198,17 +198,17 @@ func (e *Engine) Distance(ctx context.Context, a, b opinion.State) (Result, erro
 // Pairs computes SND for every requested pair, scheduling all 4*len
 // terms across the worker pool. Results are aligned with pairs. When
 // ctx is cancelled mid-batch, Pairs stops scheduling work and returns
-// ctx.Err(). The engine's Options.Epsilon (default 0 — exact) is the
-// error budget; PairsEps overrides it per call.
+// ctx.Err(). Pairs is exact; PairsEps trades a certified error budget
+// for speed.
 func (e *Engine) Pairs(ctx context.Context, pairs []StatePair) ([]Result, error) {
-	return e.PairsEps(ctx, pairs, e.opts.Epsilon)
+	return e.PairsEps(ctx, pairs, 0)
 }
 
 // DistanceEps is Distance under an explicit certified error budget:
 // the result's [LB, UB] envelope contains the exact distance, its
 // width is at most eps, and the reported SND is the envelope's upper
 // end (so |SND - exact| <= eps). eps == 0 is the exact pipeline,
-// bit-identical to Distance on an Epsilon-0 engine.
+// bit-identical to Distance.
 func (e *Engine) DistanceEps(ctx context.Context, a, b opinion.State, eps float64) (Result, error) {
 	res, err := e.PairsEps(ctx, []StatePair{{A: a, B: b}}, eps)
 	if err != nil {
@@ -311,9 +311,9 @@ func validEps(eps float64) error {
 
 // epsTermBudget splits a pair-level budget into the per-term budget of
 // eq. 3: SND averages four terms with weight 1/2, so four term
-// envelopes of width Epsilon/2 aggregate to a pair envelope of width
-// at most Epsilon. The safety factor absorbs the float rounding of the
-// aggregation, keeping the reported UB - LB <= Epsilon exactly.
+// envelopes of width eps/2 aggregate to a pair envelope of width at
+// most eps. The safety factor absorbs the float rounding of the
+// aggregation, keeping the reported UB - LB <= eps exactly.
 func epsTermBudget(eps float64) float64 {
 	return eps / 2 * (1 - 1e-9)
 }
@@ -322,7 +322,7 @@ func epsTermBudget(eps float64) float64 {
 // out[i] = SND(states[i], states[i+1]). Adjacent pairs share reference
 // states, so their SSSP rows and edge costs hit the ground cache.
 func (e *Engine) Series(ctx context.Context, states []opinion.State) ([]float64, error) {
-	results, err := e.SeriesEps(ctx, states, e.opts.Epsilon)
+	results, err := e.SeriesEps(ctx, states, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +360,7 @@ func (e *Engine) SeriesEps(ctx context.Context, states []opinion.State, eps floa
 // returned matrix is bit-identical either way, since the engine's
 // result is a pure function of state content.
 func (e *Engine) Matrix(ctx context.Context, states []opinion.State) ([][]float64, error) {
-	out, _, err := e.MatrixEps(ctx, states, e.opts.Epsilon)
+	out, _, err := e.MatrixEps(ctx, states, 0)
 	return out, err
 }
 

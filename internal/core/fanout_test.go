@@ -9,20 +9,19 @@ import (
 	"snd/internal/opinion"
 )
 
-// TestGoalPruningMatchesFullRows pins the tentpole's exactness claim at
-// the engine level: distances with the goal-pruned fan-out are
-// bit-identical to the pre-pruning full-row pipeline, across engine
-// strategies, clusterings, cache configurations, and randomized state
-// sequences.
+// TestGoalPruningMatchesFullRows pins the goal-pruned SSSP fan-out's
+// exactness at the engine level: distances are bit-identical to the
+// network engine, which routes mass through the graph and runs no
+// fan-out at all, across engine strategies, clusterings, cache
+// configurations, and randomized state sequences.
 func TestGoalPruningMatchesFullRows(t *testing.T) {
 	g := engineTestGraph(250, 31)
 	for _, cacheBytes := range []int64{-1, 0} {
 		for oi, opts := range engineTestOptions(g) {
-			pruned := opts
-			full := opts
-			full.NoGoalPrune = true
-			pe := NewEngine(g, pruned, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
-			fe := NewEngine(g, full, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
+			ref := opts
+			ref.Engine = EngineNetwork
+			pe := NewEngine(g, opts, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
+			fe := NewEngine(g, ref, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
 			states := engineTestStates(g.N(), 8, 20, int64(40+oi))
 			var pairs []StatePair
 			for i := 0; i+1 < len(states); i++ {
@@ -34,11 +33,15 @@ func TestGoalPruningMatchesFullRows(t *testing.T) {
 			}
 			want, err := fe.Pairs(context.Background(), pairs)
 			if err != nil {
-				t.Fatalf("cache %d opts %d: full: %v", cacheBytes, oi, err)
+				t.Fatalf("cache %d opts %d: network: %v", cacheBytes, oi, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cache %d opts %d: pruned diverged from full rows:\n%v\n%v",
-					cacheBytes, oi, got, want)
+			// Engine choice and SSSP charge differ by construction; the
+			// values must not.
+			for i := range got {
+				if got[i].SND != want[i].SND || got[i].Terms != want[i].Terms || got[i].NDelta != want[i].NDelta {
+					t.Fatalf("cache %d opts %d pair %d: pruned fan-out %v %v != network %v %v",
+						cacheBytes, oi, i, got[i].SND, got[i].Terms, want[i].SND, want[i].Terms)
+				}
 			}
 		}
 	}

@@ -34,7 +34,8 @@
 // All engines compute the same value exactly (tests pin this) as long
 // as the default singleton bank clustering is used; coarse clusterings
 // are honored exactly by EngineDense and approximated from above by
-// the fast engines (see DESIGN.md).
+// the fast engines, which charge a bank the distance to its nearest
+// member (see bankDist in term.go).
 package core
 
 import (
@@ -75,31 +76,6 @@ func (e ComputeEngine) String() string {
 	}
 }
 
-// FlowSolver selects the min-cost-flow algorithm for the fast engines.
-type FlowSolver int
-
-const (
-	// FlowAuto uses SSP for bipartite instances and cost-scaling for
-	// network-routed instances.
-	FlowAuto FlowSolver = iota
-	// FlowSSP forces successive shortest paths.
-	FlowSSP
-	// FlowCostScaling forces Goldberg-Tarjan cost-scaling (CS2).
-	FlowCostScaling
-)
-
-// String names the solver.
-func (s FlowSolver) String() string {
-	switch s {
-	case FlowSSP:
-		return "ssp"
-	case FlowCostScaling:
-		return "cost-scaling"
-	default:
-		return "auto"
-	}
-}
-
 // Options configures SND.
 type Options struct {
 	// Costs supplies the eq. 2 ground-cost model. The zero value is
@@ -115,31 +91,6 @@ type Options struct {
 	Gamma int64
 	// Engine selects the computation strategy.
 	Engine ComputeEngine
-	// Solver selects the min-cost-flow algorithm for fast engines.
-	Solver FlowSolver
-	// Heap selects the Dijkstra priority queue for the SSSP runs.
-	// pqueue.KindAuto (HeapAuto) resolves against the cost model's
-	// MaxCost when the options are applied: Dial's bucket queue while
-	// the edge-cost bound buckets cheaply, the radix heap beyond.
-	Heap pqueue.Kind
-	// NoGoalPrune disables the goal-pruned SSSP fan-out of the
-	// bipartite pipeline: every per-supplier run settles the whole
-	// graph (and the ground provider retains full rows for all of
-	// them), as the engine did before pruning existed. Distances are
-	// bit-identical either way — pruning is exact on the queried
-	// columns — so this exists for benchmarking (the sndbench sssp
-	// experiment measures pruned against unpruned) and as a validation
-	// lever for the exactness property tests.
-	NoGoalPrune bool
-	// NoWarmStart disables warm-started transportation solves in the
-	// bipartite pipeline: every term solve starts from zero potentials
-	// and no flow, and no solved bases are retained in the worker
-	// arenas — exactly the pre-warm-start pipeline. Distances are
-	// bit-identical either way (the transportation optimum is unique),
-	// so this exists for benchmarking (the sndbench flow experiment
-	// measures warm against cold) and as a validation lever for the
-	// exactness property tests.
-	NoWarmStart bool
 	// NoBounds disables lower-bound screening everywhere: the term
 	// pipeline always runs its flow solve (no LB == UB gate), Pairs and
 	// Matrix never decide identical-state pairs up front, and
@@ -155,27 +106,6 @@ type Options struct {
 	// Clusters optionally groups users for bank allocation (nil =
 	// one bank per user, the Theorem 4 setting).
 	Clusters []int
-	// BipartiteArcLimit bounds the supplier x consumer arc count at
-	// which EngineAuto still picks the bipartite pipeline. 0 selects
-	// 4e6.
-	BipartiteArcLimit int
-	// Epsilon is the default certified error budget for the
-	// approximation tier, in SND units: every distance an engine batch
-	// returns is accompanied by an envelope [LB, UB] with
-	// UB - LB <= Epsilon that provably contains the exact value (the
-	// reported SND is the envelope's feasible-plan upper end, so
-	// |SND - exact| <= Epsilon). 0 — the default — pins the exact
-	// pipeline: every value is bit-identical to an engine with no
-	// approximation code at all, and LB == UB == SND. Positive budgets
-	// let terms be decided by coarse cluster-representative bounds, by
-	// the relaxed LB/UB row gate, or by the entropic (Sinkhorn) solver's
-	// certified envelope, skipping SSSP runs and flow solves; a term
-	// whose envelope cannot be tightened within budget falls back to the
-	// exact solve, so the contract holds unconditionally. The per-call
-	// *Eps engine methods override this default. NoBounds disables the
-	// approximation gates along with the exact ones, forcing exact
-	// solves regardless of Epsilon.
-	Epsilon float64
 	// EscapeHops thresholds the ground distance: transport between
 	// users with no directed path (or one costing more) is charged
 	// EscapeHops maximally-expensive virtual hops (EscapeHops * U).
@@ -189,43 +119,32 @@ type Options struct {
 	EscapeHops int
 }
 
-// HeapAuto selects the Dijkstra queue by the cost model's edge-cost
-// bound: Dial's bucket queue while the bound is small (the Assumption 2
-// setting), the radix heap beyond (see Options.Heap).
-const HeapAuto = pqueue.KindAuto
-
 // DefaultOptions returns the configuration used by the paper's
-// experiments: agnostic ground costs, automatic queue selection (Dial's
-// bucket queue under Assumption 2's small cost bound), automatic engine
-// choice.
+// experiments: agnostic ground costs and automatic engine choice. It
+// equals the zero Options after defaulting.
 func DefaultOptions() Options {
-	return Options{
-		Costs: opinion.DefaultGroundCosts(opinion.DefaultAgnostic),
-		Heap:  HeapAuto,
-	}
+	return Options{Costs: opinion.DefaultGroundCosts(opinion.DefaultAgnostic)}
 }
 
 func (o Options) withDefaults() Options {
 	if o.Costs.Model == nil {
 		o.Costs = opinion.DefaultGroundCosts(opinion.DefaultAgnostic)
 	}
-	// Resolve HeapAuto once, here, so every downstream consumer — the
-	// SSSP fan-out, tree repair, the SSP flow solver — sees a concrete
-	// queue kind chosen against the model's true cost bound.
-	o.Heap = pqueue.Resolve(o.Heap, o.Costs.MaxCost())
 	if o.Gamma <= 0 {
 		o.Gamma = 1
-	}
-	if o.BipartiteArcLimit <= 0 {
-		o.BipartiteArcLimit = 4_000_000
 	}
 	if o.EscapeHops <= 0 {
 		o.EscapeHops = 32
 	}
-	if !(o.Epsilon > 0) {
-		o.Epsilon = 0 // negatives and NaN mean "exact"
-	}
 	return o
+}
+
+// heap picks the Dijkstra queue for every SSSP run and SSP flow solve
+// from the cost model's edge-cost bound: Dial's bucket queue while the
+// bound buckets cheaply (the Assumption 2 setting), the radix heap
+// beyond. The choice moves no distance bit.
+func (o Options) heap() pqueue.Kind {
+	return pqueue.Resolve(pqueue.KindAuto, o.Costs.MaxCost())
 }
 
 func (o Options) validate(g *graph.Digraph, a, b opinion.State) error {
@@ -259,10 +178,10 @@ type Result struct {
 	// two states.
 	NDelta int
 	// LB and UB are the certified envelope around the exact distance:
-	// LB <= SND(exact) <= UB, with UB - LB bounded by the requested
-	// Epsilon. SND reports the feasible upper end of the envelope, so
-	// LB <= SND <= UB always holds. With Epsilon == 0 (the exact
-	// pipeline) both equal SND.
+	// LB <= SND(exact) <= UB, with UB - LB bounded by the error budget
+	// eps of the *Eps entry points. SND reports the feasible upper end
+	// of the envelope, so LB <= SND <= UB always holds. On the exact
+	// pipeline (eps == 0) both equal SND.
 	LB, UB float64
 	// SSSPRuns counts the single-source shortest-path computations the
 	// evaluation charges. Engine batches may serve some of them from

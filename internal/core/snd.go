@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"snd/internal/emd"
@@ -9,42 +8,6 @@ import (
 	"snd/internal/opinion"
 	"snd/internal/sssp"
 )
-
-// Distance computes SND(a, b) over network g (eq. 3): the average of
-// four EMD* terms, one per (opinion, ground-state) combination, which
-// makes the measure symmetric in its arguments even though each ground
-// distance is directed and state-dependent.
-func Distance(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(g, a, b); err != nil {
-		return Result{}, err
-	}
-	specs := eqSpecs(a, b)
-	var res Result
-	res.NDelta = a.DiffCount(b)
-	// The standalone path honors Options.Epsilon through the row-gate
-	// and entropic stages; the coarse cluster pass needs an Engine's
-	// partition and is engine-only.
-	tc := termCtx{}
-	if opts.Epsilon > 0 {
-		tc.epsTerm = epsTermBudget(opts.Epsilon)
-	}
-	var lbs, ubs [4]float64
-	for i, spec := range specs {
-		tv, err := computeTerm(g, spec, opts, tc)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: term %d (%s over D(%s)): %w", i, spec.op, refName(i), err)
-		}
-		res.Terms[i] = tv.val
-		lbs[i], ubs[i] = tv.lb, tv.ub
-		res.SSSPRuns += tv.runs
-		res.EnginesUsed[i] = tv.used
-	}
-	res.SND = (res.Terms[0] + res.Terms[1] + res.Terms[2] + res.Terms[3]) / 2
-	res.LB = (lbs[0] + lbs[1] + lbs[2] + lbs[3]) / 2
-	res.UB = (ubs[0] + ubs[1] + ubs[2] + ubs[3]) / 2
-	return res, nil
-}
 
 func refName(term int) string {
 	if term < 2 {
@@ -70,7 +33,7 @@ func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) 
 	inf := infCost(g.N(), maxCost, opts.EscapeHops)
 	for i, spec := range specs {
 		w := opts.Costs.EdgeCosts(g, spec.ref, spec.op)
-		d := sssp.Johnson(g, w, opts.Heap, maxCost)
+		d := sssp.Johnson(g, w, opts.heap(), maxCost)
 		distFn := func(x, y int) float64 {
 			v := d[x][y]
 			if v >= sssp.Unreachable || v > inf {
@@ -95,15 +58,4 @@ func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) 
 	res.SND = (res.Terms[0] + res.Terms[1] + res.Terms[2] + res.Terms[3]) / 2
 	res.LB, res.UB = res.SND, res.SND
 	return res, nil
-}
-
-// Series computes the distances between every adjacent pair of a state
-// series: out[i] = SND(states[i], states[i+1]). It runs on a transient
-// Engine (one worker per CPU), released before returning; construct an
-// Engine directly to control worker count and cache budget across many
-// series.
-func Series(ctx context.Context, g *graph.Digraph, states []opinion.State, opts Options) ([]float64, error) {
-	e := NewEngine(g, opts, EngineConfig{})
-	defer e.Close()
-	return e.Series(ctx, states)
 }

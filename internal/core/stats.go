@@ -55,7 +55,7 @@ type EngineStats struct {
 	// the terms the approximation tier decided within its certified
 	// budget — by the coarse cluster-representative pass, by the relaxed
 	// LB/UB row gate, and by the entropic solver's envelope
-	// respectively. All are zero on an exact engine (Epsilon == 0); the
+	// respectively. All are zero on an exact engine (eps == 0); the
 	// sum is the approx-vs-exact solve split a dashboard wants.
 	TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn int64
 	// Pairs counts pairs entering Engine.Pairs; PairsDecided of them

@@ -155,7 +155,7 @@ type termCtx struct {
 	// sequential loop regardless of who computes which row.
 	help *helpPool
 	// epsTerm is this term's certified error budget in SND units
-	// (Epsilon/2 with a float-safety margin; see pairsEps). 0 — the
+	// (eps/2 with a float-safety margin; see epsTermBudget). 0 — the
 	// zero termCtx — pins the exact pipeline: no approximation branch
 	// is even consulted.
 	epsTerm float64
@@ -198,6 +198,11 @@ func exactVal(v float64, runs int) termVal {
 	return termVal{val: v, lb: v, ub: v, runs: runs}
 }
 
+// bipartiteArcLimit caps the supplier x consumer arc count at which
+// EngineAuto still picks the bipartite pipeline, bounding the reduced
+// instance's quadratic cost-matrix materialization.
+const bipartiteArcLimit = 4_000_000
+
 // computeTerm evaluates one EMD* term. With tc.epsTerm == 0 every
 // branch below is the exact pipeline, bit-identical to the
 // pre-approximation engine; a positive budget admits the certified
@@ -229,7 +234,7 @@ func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVa
 		if limit < 1000 {
 			limit = 1000
 		}
-		if arcs <= o.BipartiteArcLimit && len(red.S)+len(red.C)+len(red.banks) <= limit {
+		if arcs <= bipartiteArcLimit && len(red.S)+len(red.C)+len(red.banks) <= limit {
 			engine = EngineBipartite
 		} else {
 			engine = EngineNetwork
@@ -309,12 +314,9 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// cost is the term value, before any shortest-path or assembly
 	// work (the SSSP charge is reported as always, so Results stay
 	// identical). Failing that, the best-overlapping basis becomes a
-	// transplant donor for the solve below. A forced cost-scaling
-	// solver opts out: pinning a solver is a benchmarking lever, and
-	// the warm path would bypass it.
+	// transplant donor for the solve below.
 	var donor *warmBasis
-	warmable := tc.sc != nil && tc.sc.warm != nil && !o.NoWarmStart &&
-		!collectArcs && o.Solver != FlowCostScaling
+	warmable := tc.sc != nil && tc.sc.warm != nil && !collectArcs
 	if warmable {
 		tc.sc.markInstance(g.N(), red)
 		exact, d := tc.sc.findWarm(tc.refHash, spec, red)
@@ -532,7 +534,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		// and drain the residual imbalance from its potentials. The
 		// optimum is unique, so the value matches a cold solve exactly.
 		tc.sc.transplant(nw, red, donor)
-		cost, err = nw.SolveSSPWarm(tc.ctx, o.Heap, inf+o.Gamma)
+		cost, err = nw.SolveSSPWarm(tc.ctx, o.heap(), inf+o.Gamma)
 		if tc.stats != nil && err == nil {
 			tc.stats.termsWarmSolved.Add(1)
 		}
@@ -577,10 +579,9 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 }
 
 // fanOutRows fills rows[i] with the target-indexed ground-distance row
-// of sources[i]: by the provider's fast paths when one is attached, by
-// the goal-pruned Dijkstra (cut off at the saturation radius) on the
-// no-provider and budget-exhausted paths, and by a full-graph run when
-// o.NoGoalPrune pins the pre-pruning behavior. When a help pool is
+// of sources[i]: by the provider's fast paths when one is attached,
+// and by the goal-pruned Dijkstra (cut off at the saturation radius)
+// on the no-provider and budget-exhausted paths. When a help pool is
 // present the loop is split into per-source sub-tasks idle workers
 // steal; placement is fixed by index, so the rows — and every
 // downstream bit — are identical to the sequential order.
@@ -596,32 +597,24 @@ func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpe
 	if pruneLimit < 64 {
 		pruneLimit = 64
 	}
-	prune := !o.NoGoalPrune && len(targets) <= pruneLimit
+	prune := len(targets) <= pruneLimit
+	heap := o.heap()
 	fill := func(sc *scratch, i int) {
 		s := sources[i]
 		out := rows[i]
-		if tc.prov != nil {
-			if !o.NoGoalPrune {
-				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, reversed, s, srcW, targets, out, sc) {
-					return
-				}
-			} else if row, ok := tc.prov.row(tc.refHash, spec.ref, spec.op, reversed, s, srcW); ok {
-				for j, t := range targets {
-					out[j] = row[t]
-				}
-				return
-			}
+		if tc.prov != nil && tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, reversed, s, srcW, targets, out, sc) {
+			return
 		}
 		if !prune {
-			// Unpruned: settle the whole graph into the worker's result
-			// buffer, then slice out the queried columns.
-			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), o.Heap, maxCost, &sc.res, &sc.fr)
+			// Dense targets: settle the whole graph into the worker's
+			// result buffer, then slice out the queried columns.
+			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), heap, maxCost, &sc.res, &sc.fr)
 			for j, t := range targets {
 				out[j] = sc.res.Dist[t]
 			}
 			return
 		}
-		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, o.Heap, maxCost, cutoff, out, &sc.goals)
+		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, heap, maxCost, cutoff, out, &sc.goals)
 	}
 	owner := tc.sc
 	if owner == nil {
@@ -718,28 +711,23 @@ func bankUnits(red reduction) int64 {
 	return total
 }
 
-// solveNetwork dispatches to the configured min-cost-flow solver.
-// Small bipartite instances default to SSP (few augmentations); large
-// instances and network-routed ones to cost-scaling. Re-measured on the
-// pruned pipeline (BENCH_sssp.json crossover probe): cost-scaling beats
-// SSP 6x at ~1900 reduced nodes and 14x at ~3300, and is already level
-// by ~600 — the threshold below. Note that with singleton banks a
-// realistic active fraction pushes the instance past 600 nodes, so SSP
-// effectively serves only clustered-bank reductions. ctx (which may be
-// nil) lets the solvers abandon a cancelled request between flow
-// pushes. usedCostScaling reports which solver ran — warm-basis
-// retention needs it to renormalize cost-scaling's scaled potentials.
+// sspNodeLimit is the largest bipartite flow instance solveNetwork
+// hands to SSP. Re-measured on the pruned pipeline (BENCH_sssp.json
+// crossover probe): cost-scaling beats SSP 6x at ~1900 reduced nodes
+// and 14x at ~3300, and is already level by ~600. Note that with
+// singleton banks a realistic active fraction pushes the instance past
+// 600 nodes, so SSP effectively serves only clustered-bank reductions.
+const sspNodeLimit = 600
+
+// solveNetwork picks the min-cost-flow solver: SSP (few augmentations)
+// for small bipartite instances, cost-scaling for large instances and
+// network-routed ones. ctx (which may be nil) lets the solvers abandon
+// a cancelled request between flow pushes. usedCostScaling reports
+// which solver ran — warm-basis retention needs it to renormalize
+// cost-scaling's scaled potentials.
 func solveNetwork(ctx context.Context, nw *flow.Network, o Options, maxArcCost int64, bipartite bool) (cost int64, usedCostScaling bool, err error) {
-	solver := o.Solver
-	if solver == FlowAuto {
-		if bipartite && nw.N() <= 600 {
-			solver = FlowSSP
-		} else {
-			solver = FlowCostScaling
-		}
-	}
-	if solver == FlowSSP {
-		cost, err = nw.SolveSSP(ctx, o.Heap, maxArcCost)
+	if bipartite && nw.N() <= sspNodeLimit {
+		cost, err = nw.SolveSSP(ctx, o.heap(), maxArcCost)
 		return cost, false, err
 	}
 	cost, err = nw.SolveCostScaling(ctx)
@@ -757,7 +745,7 @@ func termDense(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (float64,
 	w := o.Costs.EdgeCosts(g, spec.ref, spec.op)
 	maxCost := o.Costs.MaxCost()
 	inf := infCost(g.N(), maxCost, o.EscapeHops)
-	d := sssp.Johnson(g, w, o.Heap, maxCost)
+	d := sssp.Johnson(g, w, o.heap(), maxCost)
 	distFn := func(i, j int) float64 {
 		v := d[i][j]
 		if v >= sssp.Unreachable || v > inf {

@@ -25,11 +25,10 @@ func benchTerm(b *testing.B, activeFrac float64, flips int) (*graph.Digraph, ter
 }
 
 // BenchmarkTermBipartite measures one term of the Theorem 4 pipeline
-// through the worker scratch arena — the auto path (goal-pruned below
-// the target-density threshold, full rows above it) against the pinned
-// pre-pruning fan-out, at a dense and a sparse activation. Run with
-// -benchmem: the auto variants must stay allocation-light (rows,
-// headers, and targets all live in the arena).
+// through the worker scratch arena (goal-pruned below the
+// target-density threshold, full rows above it), at a dense and a
+// sparse activation. Run with -benchmem: both shapes must stay
+// allocation-light (rows, headers, and targets all live in the arena).
 func BenchmarkTermBipartite(b *testing.B) {
 	for _, shape := range []struct {
 		name       string
@@ -38,23 +37,15 @@ func BenchmarkTermBipartite(b *testing.B) {
 	}{{"dense", 0.1, 200}, {"sparse", 0.01, 40}} {
 		g, spec, opts := benchTerm(b, shape.activeFrac, shape.flips)
 		red := reduce(spec, nil, g.N())
-		for _, cfg := range []struct {
-			name  string
-			prune bool
-		}{{"auto", true}, {"fullrows", false}} {
-			b.Run(shape.name+"/"+cfg.name, func(b *testing.B) {
-				o := opts
-				o.NoGoalPrune = !cfg.prune
-				sc := &scratch{}
-				tc := termCtx{sc: sc}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := termBipartite(g, spec, red, o, tc, 0); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(shape.name, func(b *testing.B) {
+			tc := termCtx{sc: &scratch{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := termBipartite(g, spec, red, opts, tc, 0); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

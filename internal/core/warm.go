@@ -31,8 +31,8 @@ import (
 //     evolving states hits.
 //
 // Either way the returned cost is the exact optimum (it is unique), so
-// distances are bit-identical to cold solves; Options.NoWarmStart pins
-// the cold pipeline. The ring is per-worker state: no locks, and hit
+// distances are bit-identical to cold solves; EngineConfig.WarmCacheBytes
+// < 0 pins the cold pipeline. The ring is per-worker state: no locks, and hit
 // rates degrade gracefully when terms scatter across workers.
 //
 // Multicore audit note: the ring lives in the worker's scratch arena

@@ -17,11 +17,9 @@ import (
 func TestWarmStartMatchesCold(t *testing.T) {
 	g := engineTestGraph(250, 71)
 	for oi, opts := range engineTestOptions(g) {
-		cold := opts
-		cold.NoWarmStart = true
 		for _, workers := range []int{1, 3} {
 			we := NewEngine(g, opts, EngineConfig{Workers: workers})
-			ce := NewEngine(g, cold, EngineConfig{Workers: workers})
+			ce := NewEngine(g, opts, EngineConfig{Workers: workers, WarmCacheBytes: -1})
 			states := engineTestStates(g.N(), 6, 25, int64(100+oi))
 			ctx := context.Background()
 			for pass := 0; pass < 2; pass++ { // second pass hits retained bases
@@ -62,11 +60,8 @@ func TestWarmStartMonitoringMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	query := randState(g.N(), 0.3, rng)
 	cur := perturb(query, 40, rng)
-	opts := DefaultOptions()
-	cold := opts
-	cold.NoWarmStart = true
-	we := NewEngine(g, opts, EngineConfig{Workers: 1})
-	ce := NewEngine(g, cold, EngineConfig{Workers: 1})
+	we := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1})
+	ce := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	ctx := context.Background()
 	for tick := 0; tick < 25; tick++ {
 		got, err := we.Distance(ctx, query, cur)
@@ -295,7 +290,7 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 	for i := range others {
 		others[i] = perturb(tracked, 25+i, rng)
 	}
-	cold := NewEngine(g, Options{NoWarmStart: true, NoBounds: true}, EngineConfig{Workers: 1})
+	cold := NewEngine(g, Options{NoBounds: true}, EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	for round := 0; round < 4; round++ {
 		got, err := e.Distance(ctx, query, tracked)
 		if err != nil {

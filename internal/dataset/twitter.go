@@ -4,8 +4,8 @@
 // to August 2011 on a political topic, a Google-Trends-like interest
 // series, and a labelled event timeline.
 //
-// The substitution (documented in DESIGN.md) preserves the two signal
-// classes the paper's Twitter experiments measure:
+// The substitution preserves the two signal classes the paper's
+// Twitter experiments measure:
 //
 //   - Consensus events (election, Nobel, bin Laden): large activation
 //     surges that every distance measure can see.

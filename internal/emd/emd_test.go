@@ -274,7 +274,7 @@ func TestLemma2AtFlowLevel(t *testing.T) {
 // finer than the metric's diameter the paper's Theorem 3 proof has a
 // gap (bank capacities depend on the pair under comparison, so Thm. 1
 // does not transfer across pairs) and violations do occur; see
-// TestTriangleNeedsGlobalGamma and DESIGN.md.
+// TestTriangleNeedsGlobalGamma.
 func TestTheorem3Metricity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 25; trial++ {
@@ -530,8 +530,8 @@ func TestMaxDist(t *testing.T) {
 	}
 }
 
-// TestTriangleNeedsGlobalGamma documents the Theorem 3 subtlety
-// recorded in DESIGN.md: with per-bin banks and a gamma far below
+// TestTriangleNeedsGlobalGamma documents the Theorem 3 subtlety: with
+// per-bin banks and a gamma far below
 // max(D)/2, the triangle inequality fails through an empty middle
 // histogram — draining P into its cheap local banks and refilling R
 // from R's local banks undercuts the long direct P->R move. Raising

@@ -88,9 +88,9 @@ func (e *StarExtension) bankOf(i int) (clusterID, bankID int) {
 // histogram's cluster banks proportionally to that histogram's cluster
 // masses (falling back to the heavier histogram's cluster masses, then
 // to uniform, when the lighter histogram is empty). The heavier
-// histogram's banks stay empty. See DESIGN.md: the paper's printed
-// formula does not balance the totals as written; this implements the
-// two requirements its prose states.
+// histogram's banks stay empty. The paper's printed formula does not
+// balance the totals as written; this implements the two requirements
+// its prose states.
 func bankCapacities(p, q []float64, clusters []int, nc, nb int) (pBanks, qBanks []float64) {
 	sp, sq := sum(p), sum(q)
 	pBanks = make([]float64, nc*nb)

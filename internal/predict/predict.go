@@ -35,48 +35,23 @@ type StateDistance interface {
 	Name() string
 }
 
-// SNDMeasure adapts SND to the StateDistance interface. When Engine is
-// set, every call runs on its worker pool (with scratch reuse and
-// ground-distance caching) and the batch entry points Series and
-// DistancePairs parallelize across all requested pairs; otherwise each
-// call falls back to sequential core.Distance.
-//
-// An SNDMeasure with an attached Engine holds that engine's cache and
-// scratch memory. Close releases the engine only when the measure owns
-// it (OwnsEngine): measures borrowed from a snd.Network share the
-// handle's engine, and closing them must not kill the handle.
+// SNDMeasure adapts an SND Engine to the StateDistance interface.
+// Every call runs on the engine's worker pool (with scratch reuse and
+// ground-distance caching), and the batch entry points Series and
+// DistancePairs parallelize across all requested pairs. The measure
+// borrows the engine: its owner (a snd.Network) closes it. Opts must be
+// the options the engine was built with.
 type SNDMeasure struct {
-	G      *graph.Digraph
 	Opts   core.Options
 	Engine *core.Engine
-	// OwnsEngine marks the engine as private to this measure, making
-	// Close release it. Constructors that lend a shared engine leave
-	// it false.
-	OwnsEngine bool
 }
 
 // Name implements StateDistance.
 func (SNDMeasure) Name() string { return "snd" }
 
-// Close releases the attached engine when this measure owns it; for a
-// borrowed (shared) engine it is a no-op — close the owner instead. It
-// satisfies io.Closer.
-func (m SNDMeasure) Close() error {
-	if m.Engine != nil && m.OwnsEngine {
-		return m.Engine.Close()
-	}
-	return nil
-}
-
 // Distance implements StateDistance.
 func (m SNDMeasure) Distance(a, b opinion.State) (float64, error) {
-	var res core.Result
-	var err error
-	if m.Engine != nil {
-		res, err = m.Engine.Distance(context.Background(), a, b)
-	} else {
-		res, err = core.Distance(m.G, a, b, m.Opts)
-	}
+	res, err := m.Engine.Distance(context.Background(), a, b)
 	if err != nil {
 		return 0, err
 	}
@@ -85,42 +60,23 @@ func (m SNDMeasure) Distance(a, b opinion.State) (float64, error) {
 
 // Series returns the distances between every adjacent pair of states.
 func (m SNDMeasure) Series(ctx context.Context, states []opinion.State) ([]float64, error) {
-	if m.Engine != nil {
-		return m.Engine.Series(ctx, states)
-	}
-	return core.Series(ctx, m.G, states, m.Opts)
+	return m.Engine.Series(ctx, states)
 }
 
 // DistancePairs evaluates every requested (A, B) pair, scheduling all
-// of them across the engine's workers when one is attached.
+// of them across the engine's workers.
 func (m SNDMeasure) DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error) {
-	if m.Engine != nil {
-		sp := make([]core.StatePair, len(pairs))
-		for i, p := range pairs {
-			sp[i] = core.StatePair{A: p[0], B: p[1]}
-		}
-		results, err := m.Engine.Pairs(ctx, sp)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = r.SND
-		}
-		return out, nil
-	}
-	out := make([]float64, len(pairs))
+	sp := make([]core.StatePair, len(pairs))
 	for i, p := range pairs {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, err := m.Distance(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		sp[i] = core.StatePair{A: p[0], B: p[1]}
+	}
+	results, err := m.Engine.Pairs(ctx, sp)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(results))
+	for i, r := range results {
+		out[i] = r.SND
 	}
 	return out, nil
 }
@@ -128,12 +84,11 @@ func (m SNDMeasure) DistancePairs(ctx context.Context, pairs [][2]opinion.State)
 // DistanceLowerBounds returns admissible lower bounds on every pair's
 // SND — bounds[i] <= the exact distance, always — computed without any
 // shortest-path or flow work (the engine's mass-mismatch term plus
-// cached-row minima). It returns nil (with nil error) when the measure
-// cannot bound cheaply: no attached engine, or bounds disabled via
-// Options.NoBounds. Bound-first consumers (the search index's
+// cached-row minima). It returns nil (with nil error) when bounds are
+// disabled via Options.NoBounds. Bound-first consumers (the search index's
 // nearest-neighbor scan) treat nil as "evaluate exhaustively".
 func (m SNDMeasure) DistanceLowerBounds(ctx context.Context, pairs [][2]opinion.State) ([]float64, error) {
-	if m.Engine == nil || m.Opts.NoBounds {
+	if m.Opts.NoBounds {
 		return nil, nil
 	}
 	sp := make([]core.StatePair, len(pairs))
@@ -144,7 +99,7 @@ func (m SNDMeasure) DistanceLowerBounds(ctx context.Context, pairs [][2]opinion.
 }
 
 // PairDistancer is satisfied by measures that can evaluate many state
-// pairs in one batch (SNDMeasure with an attached engine).
+// pairs in one batch (SNDMeasure).
 type PairDistancer interface {
 	DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error)
 }

@@ -7,7 +7,9 @@
 // package predict); plugging SND in gives the paper's intended use.
 // Distances are cached per (i, j) pair, and the triangle-inequality
 // pruning of NearestNeighbors can be enabled for measures known to be
-// metric (see DESIGN.md on when SND configurations are metric).
+// metric. SND is one with a single global bank cluster and gamma >=
+// max(D)/2; finer banks can break the triangle inequality (see
+// TestTriangleNeedsGlobalGamma in package emd).
 package search
 
 import (

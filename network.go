@@ -3,7 +3,6 @@ package snd
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"snd/internal/anomaly"
@@ -13,8 +12,7 @@ import (
 )
 
 // Structured sentinel errors. Every validation failure of the handle
-// API (and of the deprecated free functions, which delegate to it)
-// wraps exactly one of these; branch with errors.Is, not string
+// API wraps exactly one of these; branch with errors.Is, not string
 // matching. The sentinels are immutable values, safe to compare from
 // any goroutine.
 var (
@@ -34,8 +32,7 @@ var (
 	// ErrEngineClosed reports a call on a closed Network (or Engine).
 	ErrEngineClosed = core.ErrEngineClosed
 	// ErrBadEpsilon reports an invalid certified-error budget handed to
-	// the Eps entry points or Options.Epsilon: negative, NaN, or
-	// absurdly large.
+	// the Eps entry points: negative, NaN, or absurdly large.
 	ErrBadEpsilon = core.ErrBadEpsilon
 	// ErrDeltaIndex reports an invalid StateDelta entry: a change
 	// addressing a user outside [0, n), or carrying an opinion value
@@ -95,9 +92,9 @@ type Network struct {
 	version uint64
 }
 
-// NewNetwork builds a handle over g. opts configures SND exactly as in
-// the free functions; cfg sizes the engine (zero value: one worker per
-// CPU, 128 MiB ground-distance cache).
+// NewNetwork builds a handle over g. opts configures SND; cfg sizes
+// the engine (zero value: one worker per CPU, 128 MiB ground-distance
+// cache).
 func NewNetwork(g *Graph, opts Options, cfg EngineConfig) *Network {
 	return &Network{
 		g:    g,
@@ -171,7 +168,7 @@ func (nw *Network) Pairs(ctx context.Context, pairs []StatePair) ([]Result, erro
 // UB - LB <= eps, and the exact distance is guaranteed to lie inside
 // the envelope, so |SND - exact| <= eps. eps = 0 is the exact path,
 // bit-identical to Distance. A negative or NaN eps fails with an error
-// wrapping ErrBadEpsilon. See Options.Epsilon for the contract.
+// wrapping ErrBadEpsilon.
 func (nw *Network) DistanceEps(ctx context.Context, a, b State, eps float64) (Result, error) {
 	return nw.eng.DistanceEps(ctx, a, b, eps)
 }
@@ -221,11 +218,10 @@ func (nw *Network) Explain(ctx context.Context, a, b State) (Result, [4]TermPlan
 // Measure adapts the handle to the Measure interface for the anomaly,
 // prediction, and search pipelines. The returned measure runs on the
 // handle's engine (batch entry points parallelize) and shares its
-// lifetime: it fails once the handle is closed, and CloseMeasure on it
-// is a no-op — the engine is borrowed, not owned. Like the handle, the
+// lifetime: it fails once the handle is closed. Like the handle, the
 // returned measure is safe for concurrent use.
 func (nw *Network) Measure() Measure {
-	return predict.SNDMeasure{G: nw.g, Opts: nw.opts, Engine: nw.eng}
+	return predict.SNDMeasure{Opts: nw.opts, Engine: nw.eng}
 }
 
 // Index builds a metric-space index over states under the handle's SND
@@ -478,18 +474,4 @@ func anomalyReport(name string, states []State, dists []float64) (AnomalyReport,
 		Distances: norm,
 		Scores:    anomaly.Scores(norm),
 	}, nil
-}
-
-// CloseMeasure releases the resources behind a Measure when it owns
-// any (the engine-backed measure returned by the deprecated SNDMeasure
-// constructor implements io.Closer and owns its engine). Measures
-// returned by Network.Measure borrow their handle's engine, so
-// CloseMeasure on them is a safe no-op — close the handle to release
-// it. Safe to call concurrently with in-flight work on the measure:
-// closing is idempotent and in-flight batches run to completion.
-func CloseMeasure(m Measure) error {
-	if c, ok := m.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
 }

@@ -19,88 +19,6 @@ func networkTestFixture(t *testing.T, n, count int, seed int64) (*Graph, []State
 	return g, states
 }
 
-// TestNetworkGoldenWrappers pins the deprecated free functions
-// bit-identical to the handle methods they wrap, across options
-// variants, so code can migrate either way without value drift.
-func TestNetworkGoldenWrappers(t *testing.T) {
-	g, states := networkTestFixture(t, 150, 5, 31)
-	ctx := context.Background()
-	variants := []Options{DefaultOptions()}
-	clustered := DefaultOptions()
-	clustered.Clusters = BFSClusterLabels(g, 8)
-	clustered.Gamma = 8
-	variants = append(variants, clustered)
-	for vi, opts := range variants {
-		nw := NewNetwork(g, opts, EngineConfig{})
-		wrapRes, err := Distance(g, states[0], states[1], opts)
-		if err != nil {
-			t.Fatalf("variant %d: Distance: %v", vi, err)
-		}
-		handleRes, err := nw.Distance(ctx, states[0], states[1])
-		if err != nil {
-			t.Fatalf("variant %d: Network.Distance: %v", vi, err)
-		}
-		if !reflect.DeepEqual(wrapRes, handleRes) {
-			t.Errorf("variant %d: Distance wrapper %+v != handle %+v", vi, wrapRes, handleRes)
-		}
-
-		wrapSeries, err := Series(g, states, opts)
-		if err != nil {
-			t.Fatalf("variant %d: Series: %v", vi, err)
-		}
-		handleSeries, err := nw.Series(ctx, states)
-		if err != nil {
-			t.Fatalf("variant %d: Network.Series: %v", vi, err)
-		}
-		if !reflect.DeepEqual(wrapSeries, handleSeries) {
-			t.Errorf("variant %d: Series wrapper %v != handle %v", vi, wrapSeries, handleSeries)
-		}
-
-		wrapExpRes, wrapPlans, err := Explain(g, states[0], states[1], opts)
-		if err != nil {
-			t.Fatalf("variant %d: Explain: %v", vi, err)
-		}
-		handleExpRes, handlePlans, err := nw.Explain(ctx, states[0], states[1])
-		if err != nil {
-			t.Fatalf("variant %d: Network.Explain: %v", vi, err)
-		}
-		if !reflect.DeepEqual(wrapExpRes, handleExpRes) || !reflect.DeepEqual(wrapPlans, handlePlans) {
-			t.Errorf("variant %d: Explain wrapper diverged from handle", vi)
-		}
-		nw.Close()
-	}
-
-	wrapVal, err := DistanceValue(g, states[0], states[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := NewNetwork(g, DefaultOptions(), EngineConfig{})
-	defer nw.Close()
-	handleVal, err := nw.DistanceValue(ctx, states[0], states[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapVal != handleVal {
-		t.Errorf("DistanceValue wrapper %v != handle %v", wrapVal, handleVal)
-	}
-
-	// DetectAnomalies: the free function over the deprecated measure
-	// and the handle method must agree to the bit.
-	m := SNDMeasure(g, DefaultOptions())
-	defer CloseMeasure(m)
-	wrapRep, err := DetectAnomalies(states, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	handleRep, err := nw.DetectAnomalies(ctx, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wrapRep, handleRep) {
-		t.Errorf("DetectAnomalies wrapper %+v != handle %+v", wrapRep, handleRep)
-	}
-}
-
 // TestNetworkStructuredErrors checks every structured error is
 // reachable through the public API and detectable with errors.Is.
 func TestNetworkStructuredErrors(t *testing.T) {
@@ -265,7 +183,7 @@ func TestNetworkDeltaRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Step %d: %v", i, err)
 		}
-		want, err := Distance(g, prev, cur, DefaultOptions())
+		want, err := freshDistance(g, prev, cur, DefaultOptions())
 		if err != nil {
 			t.Fatalf("full recompute %d: %v", i, err)
 		}
@@ -315,35 +233,5 @@ func TestNetworkDeltaRoundTrip(t *testing.T) {
 	last, _ := nw.Current()
 	if last.DiffCount(states[len(states)-1]) > 1 {
 		t.Error("Apply mutated history it should have copied")
-	}
-}
-
-// TestCloseMeasure covers the deprecated-measure lifetime helper.
-func TestCloseMeasure(t *testing.T) {
-	g, states := networkTestFixture(t, 60, 2, 41)
-	m := SNDMeasure(g, DefaultOptions())
-	if _, err := m.Distance(states[0], states[1]); err != nil {
-		t.Fatalf("measure before close: %v", err)
-	}
-	if err := CloseMeasure(m); err != nil {
-		t.Fatalf("CloseMeasure: %v", err)
-	}
-	if _, err := m.Distance(states[0], states[1]); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("measure after close: err = %v, want ErrEngineClosed", err)
-	}
-	if err := CloseMeasure(HammingMeasure(g.N())); err != nil {
-		t.Errorf("CloseMeasure on plain measure: %v", err)
-	}
-
-	// A measure borrowed from a handle does not own the engine:
-	// CloseMeasure is a no-op and the handle keeps working.
-	nw := NewNetwork(g, DefaultOptions(), EngineConfig{})
-	defer nw.Close()
-	bm := nw.Measure()
-	if err := CloseMeasure(bm); err != nil {
-		t.Fatalf("CloseMeasure on borrowed measure: %v", err)
-	}
-	if _, err := nw.Distance(context.Background(), states[0], states[1]); err != nil {
-		t.Errorf("handle died with its borrowed measure: %v", err)
 	}
 }

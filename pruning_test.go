@@ -8,16 +8,16 @@ import (
 
 // TestNetworkPruningAndParallelInvariance pins, at the public Network
 // level, that the goal-pruned SSSP fan-out and intra-term work
-// stealing change no result bit: whole-series distances are identical
-// with pruning on vs off and with one worker vs many, including the
-// tracked delta path (Step).
+// stealing change no result bit: whole-series distances match the
+// network engine (which runs no fan-out) with one worker and with
+// many, including the tracked delta path (Step).
 func TestNetworkPruningAndParallelInvariance(t *testing.T) {
 	g, states := networkTestFixture(t, 200, 6, 77)
 	ctx := context.Background()
 
-	full := DefaultOptions()
-	full.NoGoalPrune = true
-	baseline := NewNetwork(g, full, EngineConfig{Workers: 1})
+	ref := DefaultOptions()
+	ref.Engine = EngineNetwork
+	baseline := NewNetwork(g, ref, EngineConfig{Workers: 1})
 	defer baseline.Close()
 	want, err := baseline.Series(ctx, states)
 	if err != nil {
@@ -31,13 +31,13 @@ func TestNetworkPruningAndParallelInvariance(t *testing.T) {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers %d: pruned series diverged from full rows:\n%v\n%v", workers, got, want)
+			t.Fatalf("workers %d: pruned series diverged from network engine:\n%v\n%v", workers, got, want)
 		}
 		nw.Close()
 	}
 
-	// The tracked delta path: Step distances must match a full-row,
-	// single-worker handle fed the same states.
+	// The tracked delta path: Step distances must match the network
+	// engine fed the same states.
 	warm := NewNetwork(g, DefaultOptions(), EngineConfig{Workers: 4})
 	defer warm.Close()
 	if err := warm.SetState(states[0]); err != nil {
@@ -56,7 +56,7 @@ func TestNetworkPruningAndParallelInvariance(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if res.SND != want[i-1] {
-			t.Fatalf("step %d: tracked pruned path %v, full-row baseline %v", i, res.SND, want[i-1])
+			t.Fatalf("step %d: tracked pruned path %v, network baseline %v", i, res.SND, want[i-1])
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"snd/internal/emd"
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/predict"
 	"snd/internal/search"
 )
@@ -70,8 +69,10 @@ func NewState(n int) State { return opinion.NewState(n) }
 // ReadState parses the state format written by State.Encode.
 func ReadState(r io.Reader) (State, error) { return opinion.DecodeState(r) }
 
-// Options configures SND: ground-cost model, bank-bin distance,
-// computation engine, flow solver, Dijkstra heap, and bank clustering.
+// Options configures SND: ground-cost model, bank-bin distance, bank
+// clustering, escape threshold, computation engine, and bound
+// screening. How each term is solved (flow solver, Dijkstra queue,
+// warm starts, SSSP pruning) is the engine's own choice.
 // Options is a value: copies are independent, and an Engine or Network
 // snapshots the options it was constructed with, so mutating the
 // caller's copy afterwards has no effect and no concurrency hazard.
@@ -97,32 +98,6 @@ const (
 	EngineBipartite = core.EngineBipartite
 	EngineNetwork   = core.EngineNetwork
 	EngineDense     = core.EngineDense
-)
-
-// FlowSolver selects the min-cost-flow algorithm (see Options.Solver).
-type FlowSolver = core.FlowSolver
-
-// The available solvers: automatic choice, successive shortest paths,
-// and Goldberg-Tarjan cost-scaling (the paper's CS2).
-const (
-	FlowAuto        = core.FlowAuto
-	FlowSSP         = core.FlowSSP
-	FlowCostScaling = core.FlowCostScaling
-)
-
-// HeapKind selects the Dijkstra priority queue for the SSSP runs (see
-// Options.Heap).
-type HeapKind = pqueue.Kind
-
-// The available queues: HeapAuto picks by the cost model's edge-cost
-// bound — Dial's bucket queue while the bound buckets cheaply (the
-// Assumption 2 setting), the radix heap beyond. The zero value is the
-// binary heap, matching the paper's released implementation.
-const (
-	HeapBinary = pqueue.KindBinary
-	HeapDial   = pqueue.KindDial
-	HeapRadix  = pqueue.KindRadix
-	HeapAuto   = pqueue.KindAuto
 )
 
 // Engine is a reusable, concurrency-safe SND compute layer over one
@@ -165,33 +140,6 @@ func NewEngine(g *Graph, opts Options, cfg EngineConfig) *Engine {
 	return core.NewEngine(g, opts, cfg)
 }
 
-// Distance computes SND between two states of g (paper eq. 3) on a
-// transient one-shot handle.
-//
-// Deprecated: construct a Network once per graph and use
-// Network.Distance — it reuses the engine's scratch memory and
-// ground-distance cache across calls and accepts a context. This
-// wrapper builds and releases a handle per call.
-func Distance(g *Graph, a, b State, opts Options) (Result, error) {
-	// A single pair cannot revisit a reference state, so the ground
-	// cache is disabled: it would only heap-copy every SSSP row into a
-	// cache the deferred Close throws away. Values are identical either
-	// way (the cache is a pinned-pure optimization).
-	n := NewNetwork(g, opts, EngineConfig{GroundCacheBytes: -1})
-	defer n.Close()
-	return n.Distance(context.Background(), a, b)
-}
-
-// DistanceValue is Distance with default options, returning only the
-// distance value.
-//
-// Deprecated: use Network.DistanceValue (see Distance).
-func DistanceValue(g *Graph, a, b State) (float64, error) {
-	n := NewNetwork(g, DefaultOptions(), EngineConfig{GroundCacheBytes: -1})
-	defer n.Close()
-	return n.DistanceValue(context.Background(), a, b)
-}
-
 // DirectDistance computes SND with the un-reduced dense transportation
 // problem and a general simplex solver — the paper's Fig. 11 baseline.
 // Exact but super-cubic; intended for small networks and validation.
@@ -205,24 +153,6 @@ type TransportMove = core.Move
 // TermPlan is one eq. 3 term's transport plan.
 type TermPlan = core.TermPlan
 
-// Explain computes SND and returns the four terms' transport plans:
-// which users' opinion mass covered which changes and at what cost.
-//
-// Deprecated: use Network.Explain, which accepts a context.
-func Explain(g *Graph, a, b State, opts Options) (Result, [4]TermPlan, error) {
-	return core.Explain(context.Background(), g, a, b, opts)
-}
-
-// Series returns the SND between every adjacent pair of states,
-// computed in parallel on a transient handle.
-//
-// Deprecated: use Network.Series (see Distance).
-func Series(g *Graph, states []State, opts Options) ([]float64, error) {
-	n := NewNetwork(g, opts, EngineConfig{})
-	defer n.Close()
-	return n.Series(context.Background(), states)
-}
-
 // Measure is a distance between two network states; SND and every
 // baseline of the paper's evaluation satisfy it. Every measure this
 // package returns is safe for concurrent Distance calls: the SND
@@ -231,18 +161,6 @@ func Series(g *Graph, states []State, opts Options) ([]float64, error) {
 type Measure interface {
 	Distance(a, b State) (float64, error)
 	Name() string
-}
-
-// SNDMeasure adapts SND to the Measure interface. The returned measure
-// is backed by its own Engine, so batch consumers (DetectAnomalies, the
-// state index, the distance-based predictor) evaluate distances in
-// parallel with scratch reuse. Release it with CloseMeasure when done.
-//
-// Deprecated: use Network.Measure, which shares the handle's engine
-// (one cache per graph instead of one per measure) and is released by
-// Network.Close.
-func SNDMeasure(g *Graph, opts Options) Measure {
-	return predict.SNDMeasure{G: g, Opts: opts, Engine: core.NewEngine(g, opts, core.EngineConfig{}), OwnsEngine: true}
 }
 
 // HammingMeasure counts coordinate-wise opinion disagreements. The
@@ -360,8 +278,8 @@ func TPRAtFPR(curve []ROCPoint, maxFPR float64) float64 {
 type Predictor = predict.Predictor
 
 // DistanceBasedPredictor is the paper's randomized-search prediction
-// method, parameterized by any Measure (use SNDMeasure for the paper's
-// method).
+// method, parameterized by any Measure (use Network.Measure for the
+// paper's method).
 func DistanceBasedPredictor(m Measure, assignments int, seed int64) Predictor {
 	return predict.DistanceBased{Measure: m, Assignments: assignments, Seed: seed}
 }
